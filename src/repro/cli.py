@@ -91,7 +91,7 @@ import signal
 import sys
 
 from repro.cnf.dimacs import DimacsError, parse_dimacs_file, write_dimacs_file
-from repro.proof import check_rup_proof
+from repro.proof import ProofError, check_rup_proof
 from repro.solver.config import (
     CONFIG_FACTORIES,
     PROPAGATION_MODES,
@@ -838,12 +838,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"c metrics written to {args.metrics_out} "
             f"({len(solver.metrics.rows)} rows)"
         )
-    if verification is not None and verification != VERIFY_OFF:
-        from repro.reliability import verify_result
+    from repro.reliability import VerificationError, verify_result
 
-        verified = verify_result(solve_target, result, verification)
-        if verified is not None:
-            print(f"c answer verified ({verified})")
+    proof_checked = False
+    try:
+        if verification is not None and verification != VERIFY_OFF:
+            verified = verify_result(solve_target, result, verification)
+            if verified is not None:
+                print(f"c answer verified ({verified})")
+            proof_checked = verified == "proof"
+        if args.proof and result.proof is not None and not proof_checked:
+            # --proof with --verify sat/off: the gate left the proof alone.
+            check_rup_proof(solve_target, result.proof)
+            proof_checked = True
+    except (VerificationError, ProofError) as error:
+        print(f"repro-sat: error: {error}", file=sys.stderr)
+        return 1
     if result.status is SolveStatus.SAT:
         print("s SATISFIABLE")
         assert result.model is not None
@@ -862,8 +872,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         exit_code = 10
     elif result.status is SolveStatus.UNSAT:
         print("s UNSATISFIABLE")
-        if args.proof and result.proof is not None:
-            check_rup_proof(formula, result.proof)
+        if args.proof and proof_checked:
             print("c proof verified (RUP)")
         if args.proof_out and result.proof is not None:
             _write_proof_file(args.proof_out, result.proof)

@@ -3,11 +3,11 @@
 import random
 
 import pytest
+from rup_oracle import _is_rup
 
 from repro.baselines.brute import brute_force_satisfiable
 from repro.cnf.formula import CnfFormula
 from repro.proof import ProofError, check_rup_proof
-from repro.proof.rup import _is_rup
 from repro.solver import Solver
 from repro.solver.config import berkmin_config, chaff_config
 

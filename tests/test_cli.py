@@ -246,6 +246,73 @@ def test_unwritable_artifact_path_is_one_line_error(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
+# Answer checks in `solve`
+# ----------------------------------------------------------------------
+
+
+def _count_proof_checks(monkeypatch, fail=False):
+    """Route both callers of the proof checker through one counter."""
+    import repro.cli
+    import repro.reliability.verify
+    from repro.proof import ProofError, check_rup_proof
+
+    calls = []
+
+    def counting(formula, proof, **kwargs):
+        calls.append(len(proof))
+        if fail:
+            raise ProofError("step 3: clause [1] is not a RUP consequence")
+        return check_rup_proof(formula, proof, **kwargs)
+
+    monkeypatch.setattr(repro.cli, "check_rup_proof", counting)
+    monkeypatch.setattr(repro.reliability.verify, "check_rup_proof", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--verify", "full"], ["--verify", "sat"], ["--verify", "off"]]
+)
+def test_solve_proof_is_checked_exactly_once(tmp_path, capsys, monkeypatch, extra):
+    calls = _count_proof_checks(monkeypatch)
+    path = _write(tmp_path, pigeonhole_formula(5))
+    code = main(["solve", path, "--proof", *extra])
+    captured = capsys.readouterr().out
+    assert code == 20
+    assert len(calls) == 1
+    assert "c proof verified (RUP)" in captured
+
+
+@pytest.mark.parametrize("extra", [[], ["--verify", "sat"]])
+def test_solve_failed_proof_check_is_one_line_error(tmp_path, capsys, monkeypatch, extra):
+    calls = _count_proof_checks(monkeypatch, fail=True)
+    path = _write(tmp_path, pigeonhole_formula(4))
+    code = main(["solve", path, "--proof", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(calls) == 1
+    assert captured.err.startswith("repro-sat: error:")
+    assert "is not a RUP consequence" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "c proof verified" not in captured.out
+
+
+def test_solve_failed_model_check_is_one_line_error(tmp_path, capsys, monkeypatch):
+    import repro.reliability
+    from repro.reliability import VerificationError
+
+    def rejecting(formula, result, level):
+        raise VerificationError("model does not satisfy clause [1, 2]")
+
+    monkeypatch.setattr(repro.reliability, "verify_result", rejecting)
+    path = _write(tmp_path, CnfFormula([[1, 2], [-1]]))
+    code = main(["solve", path, "--verify", "sat"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "repro-sat: error: model does not satisfy clause [1, 2]\n"
+    assert "s SATISFIABLE" not in captured.out
+
+
+# ----------------------------------------------------------------------
 # Checkpoint flags
 # ----------------------------------------------------------------------
 
